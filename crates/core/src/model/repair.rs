@@ -240,9 +240,9 @@ impl<S: GeoStream> StreamRepair<S> {
         }
     }
 
-    /// Attaches live metric counters (builder style).
-    pub fn with_counters(mut self, counters: RepairCounters) -> Self {
-        self.counters = Some(counters);
+    /// Attaches live metric counters, if any (builder style).
+    pub fn with_counters(mut self, counters: Option<RepairCounters>) -> Self {
+        self.counters = counters;
         self
     }
 
@@ -768,7 +768,7 @@ mod tests {
         let p = els[idx].clone();
         els.insert(idx, p);
         let mut r = StreamRepair::new(VecStream::new(StreamSchema::new("x", Crs::LatLon), els))
-            .with_counters(counters.clone());
+            .with_counters(Some(counters.clone()));
         let _ = r.drain_elements();
         assert_eq!(counters.duplicates.get(), 1);
         assert_eq!(counters.gaps.get(), 0);

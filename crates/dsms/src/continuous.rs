@@ -3,10 +3,11 @@
 //! `Dsms::run_query` lets every query pull its own source instances —
 //! convenient, but a real receiving station decodes the downlink
 //! **once**. This module implements the actual Fig. 3 dataflow: one
-//! ingest thread per referenced spectral band fans the element stream
-//! out to bounded channels, and each registered continuous query runs
-//! its optimized pipeline on its own thread over channel-backed,
-//! gap-repaired sources.
+//! ingest thread per referenced spectral band publishes the element
+//! stream into a [`SubscriptionTree`] — the runtime's one fan-out
+//! primitive, also used by shared-plan nodes — and each registered
+//! continuous query runs its optimized pipeline on its own thread over
+//! channel-backed, gap-repaired sources.
 //!
 //! Unlike the happy-path version this grew from, the runtime is
 //! **supervised** (see DESIGN.md "Fault model & recovery"):
@@ -15,7 +16,8 @@
 //!   death (panic, injected crash, truncated downlink) and restarts the
 //!   feed with capped exponential backoff, resuming at the next scan
 //!   sector — restarts count into
-//!   `geostreams_ingest_restarts_total`;
+//!   `geostreams_ingest_restarts_total`; the band's tree outlives the
+//!   attempts and is closed when the feed ends;
 //! * fan-out is non-blocking under [`FanoutPolicy::Shed`]: a slow
 //!   subscriber loses points (counted in
 //!   `geostreams_fanout_shed_total`) instead of head-of-line-blocking
@@ -36,14 +38,16 @@
 use crate::metrics::ServerMetrics;
 use crate::protocol::{ClientRequest, OutputFormat};
 use crate::server::{QueryResult, SourceRepair};
-use crate::share::{band_refs, plan_sharing, share_refs, share_source_name, SubscriptionTree};
+use crate::share::{
+    band_refs, plan_sharing, share_refs, share_source_name, SharedItem, SubscriptionTree,
+};
 use geostreams_core::exec::{compile_stages, run_morsels, split_parallel, RunReport, WorkerPool};
 use geostreams_core::model::{
     BoxedF32Stream, ChannelLike, ChunkChannel, ChunkOrMarker, GeoStream, Marker, RepairCounters,
-    RepairProbe, StreamRepair, DEFAULT_CHUNK_BUDGET,
+    RepairProbe, StreamRepair, StreamSchema, DEFAULT_CHUNK_BUDGET,
 };
 use geostreams_core::obs::{
-    now_ns, Counter, Gauge, HistogramSnapshot, PipelineObs, SpanGuard, SpanOutcome, SpanStream,
+    now_ns, Counter, HistogramSnapshot, PipelineObs, SpanGuard, SpanOutcome, SpanStream,
     TraceContext,
 };
 use geostreams_core::ops::delivery::PngSink;
@@ -57,7 +61,7 @@ use geostreams_satsim::{ChaosStream, FaultPlan, FaultStats, Scanner};
 use geostreams_store::{Archive, ArchiveReplay, SpliceStream, StoreMetrics};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -211,22 +215,6 @@ pub struct IngestStats {
     pub payload_copies: u64,
     /// Elements shed by subscription trees, per tenant (sorted).
     pub shed_per_tenant: Vec<(String, u64)>,
-}
-
-/// One subscriber of a band's fan-out. The channel carries whole
-/// chunked items behind an [`Arc`], so per-subscriber dispatch and
-/// channel overhead are amortized over entire point runs and the
-/// payload is never deep-copied per subscriber.
-struct SubSlot {
-    tx: Option<SyncSender<Arc<ChunkOrMarker<f32>>>>,
-    /// Elements this subscriber lost to shedding (incl. being declared
-    /// dead).
-    shed: u64,
-    /// Start of the current continuously-full stretch.
-    full_since: Option<Instant>,
-    /// Channel-depth gauge shared with the subscribing query: the pump
-    /// adds per delivered item, the query side subtracts per receive.
-    depth: Option<Gauge>,
 }
 
 /// Progress shared between an ingest attempt and its supervisor, so a
@@ -408,12 +396,20 @@ pub fn run_supervised(
             .map_or_else(|| "default".to_string(), |(_, t)| t.clone())
     };
 
-    // Create one channel per (query, live-served source). Archive-only
-    // sources never subscribe: their band need not be ingested at all.
-    // Queries served by a shared plan subscribe to its subscription
-    // tree instead, never directly to a band.
-    type Rx = Receiver<Arc<ChunkOrMarker<f32>>>;
-    let mut band_slots: HashMap<String, Vec<SubSlot>> = HashMap::new();
+    // One subscription tree per ingested band: every query served
+    // per-query subscribes a feed edge per live-served source, and
+    // every shared-plan node one per referenced band — a whole group of
+    // member queries costs one band subscription, not one each.
+    // Archive-only sources never subscribe: their band need not be
+    // ingested at all. Feed shed counts into the fan-out counter, never
+    // into a tenant's account.
+    type Rx = Receiver<SharedItem>;
+    let mut band_trees: HashMap<String, Arc<SubscriptionTree>> = HashMap::new();
+    let fanout_shed = config.metrics.as_ref().map(|m| m.fanout_shed.clone());
+    let mut subscribe_band = |name: &str, depth| {
+        let tree = band_trees.entry(name.to_string()).or_default();
+        tree.subscribe_feed(config.channel_cap, depth, fanout_shed.clone())
+    };
     let mut query_receivers: Vec<HashMap<String, Rx>> = Vec::new();
     for (qid, admitted) in exprs.iter().enumerate() {
         let mut receivers = HashMap::new();
@@ -423,41 +419,29 @@ pub fn run_supervised(
                     if matches!(routes.get(&name), Some(SourceRoute::ArchiveOnly(_))) {
                         continue;
                     }
-                    let (tx, rx) = sync_channel(config.channel_cap);
-                    band_slots.entry(name.clone()).or_default().push(SubSlot {
-                        tx: Some(tx),
-                        shed: 0,
-                        full_since: None,
-                        depth: config
-                            .metrics
-                            .as_ref()
-                            .and_then(|m| m.query_depth_gauge(qid as u32)),
-                    });
+                    let depth =
+                        config.metrics.as_ref().and_then(|m| m.query_depth_gauge(qid as u32));
+                    let rx = subscribe_band(&name, depth);
                     receivers.insert(name, rx);
                 }
             }
         }
         query_receivers.push(receivers);
     }
-
-    // Shared-plan DAG wiring, part 1: each node subscribes once per
-    // referenced band — a whole group of member queries costs one band
-    // subscription, not one each.
-    let mut node_band_rx: Vec<HashMap<String, Rx>> = Vec::new();
-    for node in &share_plan.nodes {
-        let mut receivers = HashMap::new();
-        for name in band_refs(&node.expr) {
-            let (tx, rx) = sync_channel(config.channel_cap);
-            band_slots.entry(name.clone()).or_default().push(SubSlot {
-                tx: Some(tx),
-                shed: 0,
-                full_since: None,
-                depth: None,
-            });
-            receivers.insert(name, rx);
-        }
-        node_band_rx.push(receivers);
-    }
+    // Shared-plan DAG wiring, part 1: each node's band feed edges.
+    let node_band_rx: Vec<HashMap<String, Rx>> = share_plan
+        .nodes
+        .iter()
+        .map(|node| {
+            band_refs(&node.expr)
+                .into_iter()
+                .map(|name| {
+                    let rx = subscribe_band(&name, None);
+                    (name, rx)
+                })
+                .collect()
+        })
+        .collect();
 
     // Per-band supervised ingest: a supervisor thread spawns the pump
     // in an inner thread (panic isolation), inspects its fate, and
@@ -470,8 +454,8 @@ pub fn run_supervised(
         faults: Option<FaultStats>,
     }
     let mut ingest_handles = Vec::new();
-    let mut band_sub_arcs: Vec<Arc<Mutex<Vec<SubSlot>>>> = Vec::new();
-    for (name, slots) in band_slots {
+    let mut band_tree_list: Vec<Arc<SubscriptionTree>> = Vec::new();
+    for (name, tree) in band_trees {
         let band_idx = scanner
             .instrument
             .bands
@@ -480,8 +464,7 @@ pub fn run_supervised(
             .ok_or_else(|| CoreError::UnknownSource(name.clone()))?;
         let band_id = scanner.instrument.bands[band_idx].id;
         let scanner = scanner.clone();
-        let subs = Arc::new(Mutex::new(slots));
-        band_sub_arcs.push(Arc::clone(&subs));
+        band_tree_list.push(Arc::clone(&tree));
         let plan = config.fault_plan.clone();
         let fanout = config.fanout;
         let marker_patience = config.marker_patience;
@@ -532,21 +515,19 @@ pub fn run_supervised(
                     }
                     None => (None, None),
                 };
-                let subs2 = Arc::clone(&subs);
+                let tree2 = Arc::clone(&tree);
                 let progress = Arc::new(PumpProgress::default());
                 let progress2 = Arc::clone(&progress);
-                let shed_counter = metrics.as_ref().map(|m| m.fanout_shed.clone());
                 let points_counter = metrics.as_ref().map(|m| m.points_ingested.clone());
                 let archive2 = archive.clone();
                 let inner = std::thread::spawn(move || {
                     pump(
                         stream,
-                        &subs2,
+                        &tree2,
                         &progress2,
                         start_sector,
                         fanout,
                         marker_patience,
-                        shed_counter,
                         points_counter,
                         archive2,
                         band_id,
@@ -633,10 +614,7 @@ pub fn run_supervised(
                 std::thread::sleep(backoff);
             }
             // Unsubscribe everyone: queries see end-of-stream.
-            let mut guard = subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for slot in guard.iter_mut() {
-                slot.tx = None;
-            }
+            tree.close();
             BandReport { band_id, elements, restarts: attempt, faults }
         }));
     }
@@ -683,7 +661,7 @@ pub fn run_supervised(
             }
         }
     }
-    let mut share_schemas: HashMap<String, geostreams_core::model::StreamSchema> = HashMap::new();
+    let mut share_schemas: HashMap<String, StreamSchema> = HashMap::new();
     for &i in &topo {
         let node = &share_plan.nodes[i];
         let planner = Planner::new(&schema_catalog);
@@ -754,27 +732,11 @@ pub fn run_supervised(
             let counters = repair_counters.clone();
             let copies = Arc::clone(&payload_copies);
             catalog.register(schema.clone(), move || {
-                let mut rx_opt = lock_opt(&slot).take();
-                let copies = Arc::clone(&copies);
-                let pull = move || {
-                    let rx = rx_opt.as_ref()?;
-                    match rx.recv() {
-                        Ok(item) => Some(Arc::try_unwrap(item).unwrap_or_else(|a| {
-                            copies.fetch_add(1, Ordering::Relaxed);
-                            (*a).clone()
-                        })),
-                        Err(_) => {
-                            rx_opt = None;
-                            None
-                        }
-                    }
-                };
-                let channel = ChunkChannel::new(schema.clone(), pull);
-                let repaired = StreamRepair::with_probe(channel, Arc::clone(&probe));
-                match &counters {
-                    Some(c) => Box::new(repaired.with_counters(c.clone())),
-                    None => Box::new(repaired),
-                }
+                let channel = owning_channel(&schema, lock_opt(&slot).take(), &copies);
+                Box::new(
+                    StreamRepair::with_probe(channel, Arc::clone(&probe))
+                        .with_counters(counters.clone()),
+                )
             });
         }
         for (name, rx) in share_rxs {
@@ -782,22 +744,7 @@ pub fn run_supervised(
             let slot = Arc::new(Mutex::new(Some(rx)));
             let copies = Arc::clone(&payload_copies);
             catalog.register(schema.clone(), move || {
-                let mut rx_opt = lock_opt(&slot).take();
-                let copies = Arc::clone(&copies);
-                let pull = move || {
-                    let rx = rx_opt.as_ref()?;
-                    match rx.recv() {
-                        Ok(item) => Some(Arc::try_unwrap(item).unwrap_or_else(|a| {
-                            copies.fetch_add(1, Ordering::Relaxed);
-                            (*a).clone()
-                        })),
-                        Err(_) => {
-                            rx_opt = None;
-                            None
-                        }
-                    }
-                };
-                Box::new(ChunkChannel::new(schema.clone(), pull))
+                Box::new(owning_channel(&schema, lock_opt(&slot).take(), &copies))
             });
         }
         node_probes.push(probes);
@@ -845,10 +792,7 @@ pub fn run_supervised(
                 &pool,
                 &PipelineObs::default(),
                 DEFAULT_CHUNK_BUDGET,
-                |item| {
-                    let shared = Arc::new(item.clone());
-                    tree.multicast(&shared, share_fanout, share_patience);
-                },
+                |item| tree.publish(Arc::new(item.clone()), share_fanout, share_patience),
             );
             tree.close();
             report.run
@@ -969,7 +913,7 @@ pub fn run_supervised(
                 continue;
             }
         };
-        let schemas: HashMap<String, geostreams_core::model::StreamSchema> = receivers
+        let schemas: HashMap<String, StreamSchema> = receivers
             .keys()
             .chain(routes.keys())
             .filter_map(|name| schema_catalog.schema(name).map(|s| (name.clone(), s.clone())))
@@ -1076,15 +1020,7 @@ pub fn run_supervised(
                                                 continue;
                                             }
                                         }
-                                        // Copy-on-write: own the payload
-                                        // outright when this was the last
-                                        // reference (single-subscriber
-                                        // channels always are), deep-copy
-                                        // (counted) otherwise.
-                                        return Some(Arc::try_unwrap(item).unwrap_or_else(|a| {
-                                            copies.fetch_add(1, Ordering::Relaxed);
-                                            (*a).clone()
-                                        }));
+                                        return Some(own_payload(item, &copies));
                                     }
                                     Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
                                     Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
@@ -1152,13 +1088,10 @@ pub fn run_supervised(
                                         &format!("repair:{src_name}"),
                                         rec.build_parent(),
                                     );
-                                    match &counters {
-                                        Some(c) => Box::new(SpanStream::new(
-                                            repaired.with_counters(c.clone()),
-                                            repair_guard,
-                                        )),
-                                        None => Box::new(SpanStream::new(repaired, repair_guard)),
-                                    }
+                                    Box::new(SpanStream::new(
+                                        repaired.with_counters(counters.clone()),
+                                        repair_guard,
+                                    ))
                                 }
                                 None => {
                                     let on_switch = store_metrics.clone().map(|sm| {
@@ -1173,10 +1106,7 @@ pub fn run_supervised(
                                     );
                                     let repaired =
                                         StreamRepair::with_probe(spliced, Arc::clone(&probe));
-                                    match &counters {
-                                        Some(c) => Box::new(repaired.with_counters(c.clone())),
-                                        None => Box::new(repaired),
-                                    }
+                                    Box::new(repaired.with_counters(counters.clone()))
                                 }
                             },
                             None => match &recorder {
@@ -1193,21 +1123,15 @@ pub fn run_supervised(
                                         &format!("repair:{src_name}"),
                                         rec.build_parent(),
                                     );
-                                    match &counters {
-                                        Some(c) => Box::new(SpanStream::new(
-                                            repaired.with_counters(c.clone()),
-                                            repair_guard,
-                                        )),
-                                        None => Box::new(SpanStream::new(repaired, repair_guard)),
-                                    }
+                                    Box::new(SpanStream::new(
+                                        repaired.with_counters(counters.clone()),
+                                        repair_guard,
+                                    ))
                                 }
                                 None => {
                                     let repaired =
                                         StreamRepair::with_probe(channel, Arc::clone(&probe));
-                                    match &counters {
-                                        Some(c) => Box::new(repaired.with_counters(c.clone())),
-                                        None => Box::new(repaired),
-                                    }
+                                    Box::new(repaired.with_counters(counters.clone()))
                                 }
                             },
                         }
@@ -1238,20 +1162,14 @@ pub fn run_supervised(
                                         &format!("repair:{src_name}"),
                                         rec.build_parent(),
                                     );
-                                    match &counters {
-                                        Some(c) => Box::new(SpanStream::new(
-                                            repaired.with_counters(c.clone()),
-                                            repair_guard,
-                                        )),
-                                        None => Box::new(SpanStream::new(repaired, repair_guard)),
-                                    }
+                                    Box::new(SpanStream::new(
+                                        repaired.with_counters(counters.clone()),
+                                        repair_guard,
+                                    ))
                                 }
                                 None => {
                                     let repaired = StreamRepair::with_probe(r, Arc::clone(&probe));
-                                    match &counters {
-                                        Some(c) => Box::new(repaired.with_counters(c.clone())),
-                                        None => Box::new(repaired),
-                                    }
+                                    Box::new(repaired.with_counters(counters.clone()))
                                 }
                             },
                             // Later opens of a single-consumer source
@@ -1467,10 +1385,7 @@ pub fn run_supervised(
             }
         }
     }
-    for subs in band_sub_arcs {
-        let guard = subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        stats.shed_elements += guard.iter().map(|s| s.shed).sum::<u64>();
-    }
+    stats.shed_elements = band_tree_list.iter().map(|t| t.shed_total()).sum();
     // Shared-plan accounting: evaluator reports (protocol checking ran
     // once per distinct plan), multicast volume and per-tenant shed
     // from the trees, and the run-wide payload-copy count.
@@ -1514,6 +1429,35 @@ fn lock_opt<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Copy-on-write receive: owns the payload outright when this was the
+/// last reference (the fan-out moves its own into the last accepting
+/// subscriber), deep-copies it — counted in `copies` — otherwise.
+fn own_payload(item: SharedItem, copies: &AtomicU64) -> ChunkOrMarker<f32> {
+    Arc::try_unwrap(item).unwrap_or_else(|a| {
+        copies.fetch_add(1, Ordering::Relaxed);
+        (*a).clone()
+    })
+}
+
+/// A chunk source over a fan-out receiver, taking each payload
+/// copy-on-write. A source opened without its receiver (a later open
+/// of a single-consumer source) is exhausted.
+fn owning_channel(
+    schema: &StreamSchema,
+    rx: Option<Receiver<SharedItem>>,
+    copies: &Arc<AtomicU64>,
+) -> ChunkChannel<f32> {
+    let copies = Arc::clone(copies);
+    let mut rx = rx;
+    ChunkChannel::new(schema.clone(), move || match rx.as_ref()?.recv() {
+        Ok(item) => Some(own_payload(item, &copies)),
+        Err(_) => {
+            rx = None;
+            None
+        }
+    })
+}
+
 /// True when a deadline exists and has passed.
 fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -1539,12 +1483,11 @@ fn stall_sliced(total: Duration, deadline: Option<Instant>, cancelled: &AtomicBo
 #[allow(clippy::too_many_arguments)]
 fn pump(
     mut stream: BoxedF32Stream,
-    subs: &Mutex<Vec<SubSlot>>,
+    tree: &SubscriptionTree,
     progress: &PumpProgress,
     start_sector: u64,
     fanout: FanoutPolicy,
     marker_patience: Duration,
-    shed_counter: Option<Counter>,
     points_counter: Option<Counter>,
     mut archive: Option<Arc<Archive>>,
     band_id: u16,
@@ -1609,156 +1552,12 @@ fn pump(
                 archive = None;
             }
         }
-        let has_marker = item.marker().is_some();
         // One Arc wrap per item: subscribers share the payload and the
         // consumer side takes ownership copy-on-write.
-        fanout_all(subs, Arc::new(item), has_marker, fanout, marker_patience, &shed_counter);
+        tree.publish(Arc::new(item), fanout, marker_patience);
     }
     if let Some(a) = &archive {
         let _ = a.flush();
-    }
-}
-
-/// Delivers one chunked item to every subscriber under the fan-out
-/// policy — without ever blocking or sleeping while the `subs` guard is
-/// held. A bounded `send` can stall until a subscriber drains; holding
-/// the lock across it would wedge subscribe/unsubscribe and the
-/// supervisor's bookkeeping for the whole band (the geolint
-/// `lock-across-send` rule exists because an earlier version of this
-/// function did exactly that).
-/// A live subscriber snapshot: slot index, sender, fan-out depth gauge.
-type LiveSub = (usize, SyncSender<Arc<ChunkOrMarker<f32>>>, Option<Gauge>);
-
-fn fanout_all(
-    subs: &Mutex<Vec<SubSlot>>,
-    item: Arc<ChunkOrMarker<f32>>,
-    has_marker: bool,
-    fanout: FanoutPolicy,
-    marker_patience: Duration,
-    shed_counter: &Option<Counter>,
-) {
-    match fanout {
-        FanoutPolicy::Blocking => {
-            // Snapshot the live senders under the lock, send unlocked
-            // (SyncSender clones share the same channel), then re-lock
-            // only to null out receivers that turned out closed (a
-            // finished/failed query is fine). The last subscriber gets
-            // the pump's own Arc moved in, so a single subscriber holds
-            // the only reference at receive time and owns the payload
-            // without a copy.
-            let mut live: Vec<LiveSub> = {
-                let guard = lock_opt(subs);
-                guard
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.tx.clone().map(|tx| (i, tx, s.depth.clone())))
-                    .collect()
-            };
-            let mut dead = Vec::new();
-            let last = live.pop();
-            for (i, tx, depth) in live {
-                if tx.send(Arc::clone(&item)).is_err() {
-                    dead.push(i);
-                } else if let Some(g) = depth {
-                    g.add(1);
-                }
-            }
-            if let Some((i, tx, depth)) = last {
-                if tx.send(item).is_err() {
-                    dead.push(i);
-                } else if let Some(g) = depth {
-                    g.add(1);
-                }
-            }
-            if !dead.is_empty() {
-                let mut guard = lock_opt(subs);
-                for i in dead {
-                    if let Some(slot) = guard.get_mut(i) {
-                        slot.tx = None;
-                    }
-                }
-            }
-        }
-        FanoutPolicy::Shed => {
-            // Non-blocking delivery pass under the lock; subscribers
-            // that are full on a *marker* are retried with the guard
-            // dropped between attempts (the 1 ms naps happen unlocked),
-            // until the marker patience runs out.
-            let mut delivered: Vec<bool> = Vec::new();
-            loop {
-                let mut pending = false;
-                {
-                    let mut guard = lock_opt(subs);
-                    delivered.resize(guard.len().max(delivered.len()), false);
-                    for (i, slot) in guard.iter_mut().enumerate() {
-                        if delivered[i] {
-                            continue;
-                        }
-                        if shed_try_one(slot, &item, has_marker, marker_patience, shed_counter) {
-                            delivered[i] = true;
-                        } else {
-                            pending = true;
-                        }
-                    }
-                }
-                if !pending {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-}
-
-/// One non-blocking delivery attempt to one subscriber. Returns `true`
-/// when the item is settled for this slot (delivered, shed, or the
-/// subscriber was declared dead) and `false` when the caller should
-/// retry after an unlocked nap.
-fn shed_try_one(
-    slot: &mut SubSlot,
-    item: &Arc<ChunkOrMarker<f32>>,
-    has_marker: bool,
-    marker_patience: Duration,
-    shed_counter: &Option<Counter>,
-) -> bool {
-    let Some(tx) = &slot.tx else { return true };
-    match tx.try_send(Arc::clone(item)) {
-        Ok(()) => {
-            slot.full_since = None;
-            if let Some(g) = &slot.depth {
-                g.add(1);
-            }
-            true
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            slot.tx = None;
-            true
-        }
-        Err(TrySendError::Full(_)) => {
-            let since = *slot.full_since.get_or_insert_with(Instant::now);
-            if !has_marker {
-                // Pure point runs are expendable: shed the whole run
-                // immediately rather than stall the band.
-                let n = item.point_count() as u64;
-                slot.shed += n;
-                if let Some(c) = shed_counter {
-                    c.add(n);
-                }
-                return true;
-            }
-            if since.elapsed() >= marker_patience {
-                // A subscriber that cannot even accept framing markers
-                // is wedged: unsubscribe it.
-                slot.tx = None;
-                let n = item.element_count();
-                slot.shed += n;
-                if let Some(c) = shed_counter {
-                    c.add(n);
-                }
-                return true;
-            }
-            false
-        }
     }
 }
 

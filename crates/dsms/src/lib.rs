@@ -14,10 +14,13 @@
 //!   [`server::Dsms`] registers continuous queries (optionally via the
 //!   HTTP-like textual [`protocol`]) and runs each as a pipeline —
 //!   sequentially or one thread per query;
-//! * **multi-query optimization** is the [`frontend::MultiQueryFrontEnd`]:
-//!   a single pass over each GeoStream routes every point through a
-//!   region index (the dynamic cascade tree of [10], or the naive scan
-//!   baseline) to all subscribed clients;
+//! * **multi-query optimization** is [`share`]: each band is decoded
+//!   once and published into a [`SubscriptionTree`], the runtime's one
+//!   fan-out primitive, and admitted plans with equal canonical keys or
+//!   common subplans are evaluated once per chunk and multicast through
+//!   trees of their own (see [`continuous`]). The dynamic cascade tree
+//!   of [10], which routes points to spatial regions of interest, is
+//!   `geostreams_core::query::cascade`;
 //! * **delivery** ships PNG frames per client session.
 
 #![warn(missing_docs)]
@@ -25,7 +28,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod continuous;
-pub mod frontend;
 pub mod metrics;
 pub mod net;
 pub mod protocol;
@@ -33,7 +35,6 @@ pub mod server;
 pub mod share;
 
 pub use continuous::{run_continuous, run_supervised, FanoutPolicy, IngestStats, RuntimeConfig};
-pub use frontend::{FrontEndStats, MultiQueryFrontEnd};
 pub use metrics::{QueryStatus, ServerMetrics};
 pub use net::HttpServer;
 pub use protocol::{parse_explain, parse_request, ClientRequest, OutputFormat};

@@ -11,12 +11,14 @@
 //!   subexpressions *across* plans, emitting a shared-subplan DAG: one
 //!   [`ShareNode`] per distinct plan or shared cut, with synthetic
 //!   `@share:<key>` sources wiring consumers to producers;
-//! * [`SubscriptionTree`] multicasts one evaluation's chunked output
-//!   to every subscriber as [`Arc`]-shared payloads — never cloned per
-//!   subscriber — with two delivery tiers: *interior* edges (node →
-//!   node) are lossless and blocking, *query* edges (node → client)
-//!   follow the runtime's fan-out policy, shedding per tenant instead
-//!   of head-of-line-blocking siblings;
+//! * [`SubscriptionTree`] is the runtime's one fan-out primitive: it
+//!   multicasts a band's decoded feed, or one evaluation's chunked
+//!   output, to every subscriber as [`Arc`]-shared payloads — never
+//!   cloned per subscriber. *Interior* edges (node → node) are lossless
+//!   and blocking; *feed* edges (band → consumer) and *query* edges
+//!   (node → client) follow the runtime's fan-out policy, shedding
+//!   instead of head-of-line-blocking siblings (per tenant on query
+//!   edges);
 //! * [`ShareRegistry`] is the server-side bookkeeping: the
 //!   canonical-key plan cache (one analysis and one certificate
 //!   validation per distinct plan), per-tenant admission quotas
@@ -261,17 +263,18 @@ pub fn plan_sharing(roots: &[(usize, Expr)]) -> SharePlan {
 // Subscription tree
 // ---------------------------------------------------------------------------
 
-/// The payload unit of all shared fan-out: one chunked item behind an
-/// [`Arc`], so multicasting to N subscribers clones a pointer, never
-/// the points.
+/// The payload unit of all fan-out: one chunked item behind an [`Arc`],
+/// so delivering to N subscribers clones a pointer, never the points.
 pub type SharedItem = Arc<ChunkOrMarker<f32>>;
 
 /// One subscriber of a [`SubscriptionTree`].
 struct TreeSub {
     tx: Option<SyncSender<SharedItem>>,
-    /// `None` for interior (node → node) edges, which are lossless;
-    /// `Some(tenant)` for query edges, which follow the fan-out policy
-    /// and account shed per tenant.
+    /// `false` for interior (node → node) edges, which are lossless;
+    /// `true` for feed and query edges, which follow the fan-out policy.
+    lossy: bool,
+    /// Tenant charged for this edge's shed (query edges only; feed
+    /// edges count shed into the tree total alone).
     tenant: Option<String>,
     shed: u64,
     full_since: Option<Instant>,
@@ -279,15 +282,18 @@ struct TreeSub {
     shed_counter: Option<Counter>,
 }
 
-/// Multicasts one node's output to its subscribers (DESIGN.md §16).
+/// The runtime's one fan-out primitive (DESIGN.md §16): multicasts a
+/// chunk stream to its subscribers as [`Arc`]-shared payloads.
 ///
-/// Two delivery tiers share one tree: interior edges feed downstream
-/// DAG nodes and are always blocking (losing data *inside* the DAG
-/// would change subscriber results), while query edges follow the
-/// runtime's [`FanoutPolicy`] — under [`FanoutPolicy::Shed`] a slow
-/// subscriber loses point runs (counted against its tenant) and a
-/// subscriber that cannot accept framing markers within the patience
-/// window is declared dead, exactly like the band fan-out.
+/// Each ingested band publishes into one tree, and so does each
+/// shared-plan DAG node. Three edge kinds share the delivery loop:
+/// *interior* edges feed downstream DAG nodes and are always blocking
+/// (losing data *inside* the DAG would change subscriber results);
+/// *feed* edges (band → query or band → node) and *query* edges
+/// (node → client) follow the runtime's [`FanoutPolicy`]. Under
+/// [`FanoutPolicy::Shed`] a slow subscriber loses point runs — counted
+/// against its tenant on query edges — and a subscriber that cannot
+/// accept a framing marker within the patience window is declared dead.
 #[derive(Default)]
 pub struct SubscriptionTree {
     subs: Mutex<Vec<TreeSub>>,
@@ -308,18 +314,42 @@ impl SubscriptionTree {
         self
     }
 
-    /// Subscribes a downstream DAG node (lossless interior edge).
-    pub fn subscribe_interior(&self, cap: usize) -> Receiver<SharedItem> {
+    fn attach(
+        &self,
+        cap: usize,
+        lossy: bool,
+        tenant: Option<String>,
+        depth: Option<Gauge>,
+        shed_counter: Option<Counter>,
+    ) -> Receiver<SharedItem> {
         let (tx, rx) = sync_channel(cap);
         lock(&self.subs).push(TreeSub {
             tx: Some(tx),
-            tenant: None,
+            lossy,
+            tenant,
             shed: 0,
             full_since: None,
-            depth: None,
-            shed_counter: None,
+            depth,
+            shed_counter,
         });
         rx
+    }
+
+    /// Subscribes a downstream DAG node (lossless interior edge).
+    pub fn subscribe_interior(&self, cap: usize) -> Receiver<SharedItem> {
+        self.attach(cap, false, None, None, None)
+    }
+
+    /// Subscribes a consumer of a band feed (policy-governed edge whose
+    /// shed counts into [`Self::shed_total`] and `shed_counter`, never
+    /// into a tenant's account).
+    pub fn subscribe_feed(
+        &self,
+        cap: usize,
+        depth: Option<Gauge>,
+        shed_counter: Option<Counter>,
+    ) -> Receiver<SharedItem> {
+        self.attach(cap, true, None, depth, shed_counter)
     }
 
     /// Subscribes a query (policy-governed edge, shed accounted to
@@ -331,27 +361,23 @@ impl SubscriptionTree {
         depth: Option<Gauge>,
         shed_counter: Option<Counter>,
     ) -> Receiver<SharedItem> {
-        let (tx, rx) = sync_channel(cap);
-        lock(&self.subs).push(TreeSub {
-            tx: Some(tx),
-            tenant: Some(tenant.to_string()),
-            shed: 0,
-            full_since: None,
-            depth,
-            shed_counter,
-        });
-        rx
+        self.attach(cap, true, Some(tenant.to_string()), depth, shed_counter)
     }
 
-    /// Live subscriber count (both tiers).
+    /// Live subscriber count (all edge kinds).
     pub fn subscribers(&self) -> usize {
         lock(&self.subs).iter().filter(|s| s.tx.is_some()).count()
     }
 
-    /// Point-bearing items delivered to query-tier subscribers so far
-    /// (standalone framing markers are not counted).
+    /// Point-bearing items delivered to policy-governed subscribers so
+    /// far (standalone framing markers are not counted).
     pub fn chunks_multicast(&self) -> u64 {
         self.chunks_multicast.load(Ordering::Relaxed)
+    }
+
+    /// Elements shed across every subscriber.
+    pub fn shed_total(&self) -> u64 {
+        lock(&self.subs).iter().map(|s| s.shed).sum()
     }
 
     /// Elements shed per tenant, sorted by tenant.
@@ -375,69 +401,73 @@ impl SubscriptionTree {
         }
     }
 
-    /// Delivers one item to every subscriber — never blocking or
-    /// sleeping while the subscriber lock is held (same discipline as
-    /// the band fan-out; see the geolint `lock-across-send` rule).
+    /// Delivers one borrowed item to every subscriber (see
+    /// [`Self::publish`]).
     pub fn multicast(&self, item: &SharedItem, policy: FanoutPolicy, marker_patience: Duration) {
+        self.publish(Arc::clone(item), policy, marker_patience);
+    }
+
+    /// Delivers one item to every subscriber. The publisher's own
+    /// reference is moved into the last accepting subscriber, so a
+    /// single subscriber owns its payload outright at receive time.
+    /// Never blocks or sleeps while the subscriber lock is held: a
+    /// bounded `send` can stall until a subscriber drains, and holding
+    /// the lock across it would wedge every sibling (the geolint
+    /// `lock-across-blocking` rule).
+    pub fn publish(&self, item: SharedItem, policy: FanoutPolicy, marker_patience: Duration) {
         let has_marker = item.marker().is_some();
         let has_points = item.point_count() > 0;
-        // Lossless pass: interior edges always; query edges too under
-        // the blocking policy. Snapshot senders under the lock, send
-        // unlocked, re-lock only to null out closed receivers.
+        let shedding = policy == FanoutPolicy::Shed;
+        // Lossless edges — interior ones always, every edge under the
+        // blocking policy — are snapshotted under the lock and sent to
+        // unlocked after the shed pass.
         let lossless: Vec<(usize, SyncSender<SharedItem>, Option<Gauge>, bool)> = {
             let guard = lock(&self.subs);
             guard
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| s.tenant.is_none() || policy == FanoutPolicy::Blocking)
-                .filter_map(|(i, s)| {
-                    s.tx.clone().map(|tx| (i, tx, s.depth.clone(), s.tenant.is_some()))
-                })
+                .filter(|(_, s)| !(shedding && s.lossy))
+                .filter_map(|(i, s)| s.tx.clone().map(|tx| (i, tx, s.depth.clone(), s.lossy)))
                 .collect()
         };
-        let mut delivered_to_queries = 0u64;
-        let mut dead = Vec::new();
-        for (i, tx, depth, is_query) in lossless {
-            if tx.send(Arc::clone(item)).is_err() {
-                dead.push(i);
-            } else {
-                if let Some(g) = depth {
-                    g.add(1);
-                }
-                if is_query && has_points {
-                    delivered_to_queries += 1;
-                }
-            }
-        }
-        if !dead.is_empty() {
-            let mut guard = lock(&self.subs);
-            for i in dead {
-                if let Some(slot) = guard.get_mut(i) {
-                    slot.tx = None;
-                }
-            }
-        }
-        // Shed pass: query edges under the shed policy. Non-blocking
-        // delivery attempts under the lock; full-on-a-marker
-        // subscribers are retried with the guard dropped between
+        let mut item = Some(item);
+        let mut delivered = 0u64;
+        // Shed pass: non-blocking attempts under the lock; subscribers
+        // full on a marker are retried with the guard dropped between
         // attempts until the marker patience runs out.
-        if policy == FanoutPolicy::Shed {
+        if shedding {
             let mut settled: Vec<bool> = Vec::new();
             loop {
                 let mut pending = false;
                 {
                     let mut guard = lock(&self.subs);
                     settled.resize(guard.len().max(settled.len()), false);
+                    let last = if lossless.is_empty() {
+                        (0..guard.len())
+                            .rev()
+                            .find(|&i| !settled[i] && guard[i].lossy && guard[i].tx.is_some())
+                    } else {
+                        None
+                    };
                     for (i, slot) in guard.iter_mut().enumerate() {
-                        if settled[i] || slot.tenant.is_none() {
+                        if settled[i] || !slot.lossy {
                             continue;
                         }
-                        match shed_try_sub(slot, item, has_marker, marker_patience) {
+                        // With every earlier subscriber settled, the
+                        // last one can take the publisher's reference;
+                        // an unsent item comes back for a retry.
+                        let payload =
+                            if Some(i) == last && !pending { item.take() } else { item.clone() };
+                        let Some(payload) = payload else { break };
+                        let (outcome, unsent) =
+                            shed_try_sub(slot, payload, has_marker, marker_patience);
+                        if item.is_none() {
+                            item = unsent;
+                        }
+                        match outcome {
                             SubOutcome::Delivered => {
                                 settled[i] = true;
-                                if has_points {
-                                    delivered_to_queries += 1;
-                                }
+                                delivered += u64::from(has_points);
                             }
                             SubOutcome::Settled => settled[i] = true,
                             SubOutcome::Retry => pending = true,
@@ -450,10 +480,32 @@ impl SubscriptionTree {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        if delivered_to_queries > 0 {
-            self.chunks_multicast.fetch_add(delivered_to_queries, Ordering::Relaxed);
+        let mut dead = Vec::new();
+        let n = lossless.len();
+        for (k, (i, tx, depth, lossy)) in lossless.into_iter().enumerate() {
+            let payload = if k + 1 == n { item.take() } else { item.clone() };
+            let Some(payload) = payload else { break };
+            if tx.send(payload).is_err() {
+                dead.push(i);
+            } else {
+                if let Some(g) = depth {
+                    g.add(1);
+                }
+                delivered += u64::from(lossy && has_points);
+            }
+        }
+        if !dead.is_empty() {
+            let mut guard = lock(&self.subs);
+            for i in dead {
+                if let Some(slot) = guard.get_mut(i) {
+                    slot.tx = None;
+                }
+            }
+        }
+        if delivered > 0 {
+            self.chunks_multicast.fetch_add(delivered, Ordering::Relaxed);
             if let Some(c) = &self.multicast_counter {
-                c.add(delivered_to_queries);
+                c.add(delivered);
             }
         }
     }
@@ -470,51 +522,46 @@ enum SubOutcome {
     Retry,
 }
 
-/// One non-blocking delivery attempt to one query-tier subscriber
-/// (the subscription tree's analog of the band fan-out's shed tier).
+/// One non-blocking delivery attempt to one policy-governed subscriber.
+/// Returns the item when it was not sent.
 fn shed_try_sub(
     slot: &mut TreeSub,
-    item: &SharedItem,
+    item: SharedItem,
     has_marker: bool,
     marker_patience: Duration,
-) -> SubOutcome {
-    let Some(tx) = &slot.tx else { return SubOutcome::Settled };
-    match tx.try_send(Arc::clone(item)) {
+) -> (SubOutcome, Option<SharedItem>) {
+    let Some(tx) = &slot.tx else { return (SubOutcome::Settled, Some(item)) };
+    match tx.try_send(item) {
         Ok(()) => {
             slot.full_since = None;
             if let Some(g) = &slot.depth {
                 g.add(1);
             }
-            SubOutcome::Delivered
+            (SubOutcome::Delivered, None)
         }
-        Err(TrySendError::Disconnected(_)) => {
+        Err(TrySendError::Disconnected(item)) => {
             slot.tx = None;
-            SubOutcome::Settled
+            (SubOutcome::Settled, Some(item))
         }
-        Err(TrySendError::Full(_)) => {
+        Err(TrySendError::Full(item)) => {
             let since = *slot.full_since.get_or_insert_with(Instant::now);
-            if !has_marker {
+            let n = if !has_marker {
                 // Point runs are expendable: shed the whole run rather
-                // than stall the shared evaluation for one tenant.
-                let n = item.point_count() as u64;
-                slot.shed += n;
-                if let Some(c) = &slot.shed_counter {
-                    c.add(n);
-                }
-                return SubOutcome::Settled;
-            }
-            if since.elapsed() >= marker_patience {
+                // than stall the publisher for one subscriber.
+                item.point_count() as u64
+            } else if since.elapsed() >= marker_patience {
                 // Cannot even accept framing markers: wedged — declare
                 // the subscriber dead so siblings keep their cadence.
                 slot.tx = None;
-                let n = item.element_count();
-                slot.shed += n;
-                if let Some(c) = &slot.shed_counter {
-                    c.add(n);
-                }
-                return SubOutcome::Settled;
+                item.element_count()
+            } else {
+                return (SubOutcome::Retry, Some(item));
+            };
+            slot.shed += n;
+            if let Some(c) = &slot.shed_counter {
+                c.add(n);
             }
-            SubOutcome::Retry
+            (SubOutcome::Settled, Some(item))
         }
     }
 }
@@ -930,6 +977,31 @@ mod tests {
         assert_eq!(shed.len(), 1);
         assert_eq!(shed[0].0, "slow");
         assert_eq!(shed[0].1, 40, "4 shed runs x 10 points");
+    }
+
+    #[test]
+    fn publish_leaves_the_publisher_no_reference() {
+        for policy in [FanoutPolicy::Blocking, FanoutPolicy::Shed] {
+            let tree = SubscriptionTree::new();
+            let rx1 = tree.subscribe_feed(8, None, None);
+            let rx2 = tree.subscribe_feed(8, None, None);
+            tree.publish(chunk_of(3), policy, Duration::from_millis(10));
+            let a = rx1.recv().unwrap();
+            assert_eq!(Arc::strong_count(&a), 2, "{policy:?}: one reference per subscriber");
+            drop(a);
+            assert!(Arc::try_unwrap(rx2.recv().unwrap()).is_ok(), "{policy:?}: owned outright");
+        }
+    }
+
+    #[test]
+    fn feed_shed_counts_in_the_total_not_per_tenant() {
+        let tree = SubscriptionTree::new();
+        let _rx = tree.subscribe_feed(1, None, None);
+        for _ in 0..3 {
+            tree.publish(chunk_of(10), FanoutPolicy::Shed, Duration::from_millis(10));
+        }
+        assert_eq!(tree.shed_total(), 20, "2 shed runs x 10 points");
+        assert!(tree.shed_per_tenant().is_empty());
     }
 
     #[test]

@@ -3,18 +3,19 @@
 //! §4: "Multiple users can connect to the DSMS server and formulate
 //! queries over the GOES data streams … multiple queries against a
 //! single GeoStream are optimized using a dynamic cascade tree
-//! structure." This example subscribes many clients with random regions
-//! of interest and routes one satellite pass through the shared
-//! front end twice — once with the naive per-query scan, once with the
-//! cascade tree — and also demonstrates the per-query-pipeline mode with
-//! the HTTP-style protocol.
+//! structure." This example registers many clients with random regions
+//! of interest and routes every point of one satellite pass through a
+//! region index twice — once with the naive per-query scan, once with
+//! the cascade tree — and also demonstrates the per-query-pipeline mode
+//! with the HTTP-style protocol.
 //!
 //! Run with `cargo run --release --example multi_query_server`.
 
+use geostreams_core::model::{Element, GeoStream};
 use geostreams_core::query::cascade::{CascadeTree, NaiveRegionIndex, RegionIndex};
 use geostreams_dsms::protocol::ClientRequest;
-use geostreams_dsms::{run_continuous, Dsms, HttpServer, MultiQueryFrontEnd, OutputFormat};
-use geostreams_geo::Rect;
+use geostreams_dsms::{run_continuous, Dsms, HttpServer, OutputFormat};
+use geostreams_geo::{Coord, Rect};
 use geostreams_satsim::goes_like;
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,35 +43,57 @@ fn client_regions(n: usize, world: Rect, seed: u64) -> Vec<Rect> {
         .collect()
 }
 
-fn route_with<I: RegionIndex>(
-    index: I,
-    regions: &[Rect],
-    scanner: &geostreams_satsim::Scanner,
-) -> (std::time::Duration, u64, u64) {
-    let mut fe = MultiQueryFrontEnd::new(index);
-    for (i, r) in regions.iter().enumerate() {
-        fe.subscribe(i as u32, *r);
-    }
+/// World coordinates (stream CRS) of every point of one pass of band 0.
+fn pass_points(scanner: &geostreams_satsim::Scanner) -> Vec<Coord> {
     let mut stream = scanner.band_stream(0, 1);
-    let mut images = 0u64;
+    let mut lattice = None;
+    let mut points = Vec::new();
+    while let Some(el) = stream.next_element() {
+        match el {
+            Element::SectorStart(si) => lattice = Some(si.lattice),
+            Element::Point(p) => points.extend(lattice.map(|l| l.cell_to_world(p.cell))),
+            _ => {}
+        }
+    }
+    points
+}
+
+/// Routes every point through `index` to each client whose region
+/// contains it. Returns the routing time and the point-to-client
+/// delivery count.
+fn route_with(
+    index: &mut dyn RegionIndex,
+    regions: &[Rect],
+    points: &[Coord],
+) -> (std::time::Duration, u64) {
+    for (i, r) in regions.iter().enumerate() {
+        index.insert(i as u32, *r);
+    }
+    let mut hits = Vec::with_capacity(16);
+    let mut deliveries = 0u64;
     let start = Instant::now();
-    fe.run(&mut stream, |_, _| images += 1);
-    (start.elapsed(), fe.stats.deliveries, images)
+    for p in points {
+        hits.clear();
+        index.query_point(*p, &mut hits);
+        deliveries += hits.len() as u64;
+    }
+    (start.elapsed(), deliveries)
 }
 
 fn main() {
     let scanner = goes_like(512, 256, 7);
     let world = scanner.instrument.base_lattice.world_bbox();
+    let points = pass_points(&scanner);
 
-    println!("== shared front end: cascade tree vs naive scan ==");
+    println!("== multi-query routing: cascade tree vs naive scan ==");
     println!(
         "{:>9} {:>14} {:>14} {:>10} {:>12}",
         "clients", "naive", "cascade", "speedup", "deliveries"
     );
     for &n in &[4usize, 16, 64, 256] {
         let regions = client_regions(n, world, 99);
-        let (t_naive, d1, _) = route_with(NaiveRegionIndex::new(), &regions, &scanner);
-        let (t_casc, d2, _) = route_with(CascadeTree::new(world, 10), &regions, &scanner);
+        let (t_naive, d1) = route_with(&mut NaiveRegionIndex::new(), &regions, &points);
+        let (t_casc, d2) = route_with(&mut CascadeTree::new(world, 10), &regions, &points);
         assert_eq!(d1, d2, "both indexes must deliver identically");
         println!(
             "{:>9} {:>13.1?} {:>13.1?} {:>9.2}x {:>12}",

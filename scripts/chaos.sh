@@ -7,11 +7,13 @@
 # digest covers injected-fault counts, repair/completeness stats, and
 # an FNV hash over every delivered PNG byte, so any nondeterminism in
 # fault injection, stream repair, supervision, or delivery fails the
-# gate. Also runs the seeded chaos acceptance tests (tests/chaos.rs).
+# gate. Also runs the seeded chaos acceptance tests (tests/chaos.rs, and
+# tests/chaos_threads.rs, whose thread-leak check needs a binary of its
+# own).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo test -q --offline --test chaos
+cargo test -q --offline --test chaos --test chaos_threads
 
 cargo build --release --offline -p geostreams-bench --bin chaos_run
 out_a=$(mktemp)

@@ -6,109 +6,18 @@
 //! watchdog deadline, with partial frames and honest completeness
 //! ratios) instead of blocking forever; an injected ingest crash must
 //! surface as a supervised restart; and everything must be
-//! byte-identical across two runs with the same seed.
+//! byte-identical across two runs with the same seed. The degraded-
+//! downlink scenario, which also checks for thread leaks, lives in
+//! `tests/chaos_threads.rs`.
 
-use geostreams::dsms::protocol::{ClientRequest, OutputFormat};
+mod common;
+
+use common::chaos::{chaos_plan, req};
+use geostreams::dsms::protocol::OutputFormat;
 use geostreams::dsms::{run_supervised, FanoutPolicy, RuntimeConfig, ServerMetrics};
-use geostreams::satsim::{goes_like, FaultPlan};
+use geostreams::satsim::goes_like;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn req(q: &str, format: OutputFormat) -> ClientRequest {
-    ClientRequest { query: q.to_string(), format, sectors: 0 }
-}
-
-/// The canonical degraded downlink of the acceptance criteria: ≥5%
-/// dropped rows, duplicated elements, out-of-order elements, plus a
-/// sprinkle of dropped points and lost end markers.
-fn chaos_plan(seed: u64) -> FaultPlan {
-    FaultPlan::seeded(seed)
-        .with_dropped_rows(0.08)
-        .with_dropped_points(0.03)
-        .with_dropped_end_markers(0.05)
-        .with_duplicates(0.05)
-        .with_reordering(0.05)
-}
-
-/// Threads of this process (Linux); used to prove the runtime joins
-/// everything it spawns.
-fn thread_count() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find(|l| l.starts_with("Threads:"))?.split_whitespace().nth(1)?.parse().ok()
-}
-
-#[test]
-fn degraded_downlink_completes_with_partial_frames() {
-    let scanner = goes_like(64, 32, 11);
-    let metrics = Arc::new(ServerMetrics::new());
-    let config = RuntimeConfig {
-        fault_plan: Some(chaos_plan(1234)),
-        watchdog: Some(Duration::from_secs(30)),
-        metrics: Some(Arc::clone(&metrics)),
-        ..RuntimeConfig::default()
-    };
-    let requests = vec![
-        req("goes-sim.b4-ir", OutputFormat::Stats),
-        req("stretch(goes-sim.b4-ir, \"linear\")", OutputFormat::Stats),
-        req("goes-sim.b1-vis", OutputFormat::PngGray),
-    ];
-    let threads_before = thread_count();
-    let started = Instant::now();
-    let (results, stats) = run_supervised(&scanner, 4, &requests, &config).unwrap();
-    let elapsed = started.elapsed();
-
-    // Every query completed, well inside the watchdog deadline and
-    // without being cancelled.
-    assert_eq!(results.len(), 3);
-    assert!(elapsed < Duration::from_secs(30), "queries must not run into the watchdog");
-    assert_eq!(stats.watchdog_cancellations, 0);
-    for r in &results {
-        let r = r.as_ref().unwrap();
-        assert!(!r.cancelled);
-        // Even over a damaged downlink, the repaired streams the
-        // operators actually saw obeyed the §12 bracketing protocol:
-        // the debug-build runtime validator observed zero violations.
-        if let Some(report) = &r.report {
-            assert_eq!(report.protocol_violations, 0, "query {} violated the protocol", r.id);
-        }
-        // The repair stage quantified the damage instead of hiding it.
-        let repair = &r.repair[0];
-        assert!(repair.stats.completeness() < 1.0, "8% row drops must show");
-        assert!(repair.stats.completeness() > 0.5, "most data still arrives");
-        assert!(repair.stats.gaps > 0);
-        // Completeness ratios are internally consistent: per-sector
-        // received sums to the stream total, and each ratio is sane.
-        let sum: u64 = repair.sectors.iter().map(|s| s.received_points).sum();
-        assert_eq!(sum, repair.stats.received_points);
-        for s in &repair.sectors {
-            assert!(s.received_points <= s.expected_points);
-            assert!(s.ratio() > 0.0 && s.ratio() <= 1.0);
-        }
-        assert_eq!(repair.sectors.len(), 4, "all announced sectors accounted for");
-    }
-    // The frame-scoped stretch (query 1) terminated over lost rows and
-    // markers — the exact failure mode that used to block forever.
-    let stretched = results[1].as_ref().unwrap();
-    assert!(stretched.report.as_ref().unwrap().points_delivered > 0);
-    // PNG delivery produced one (partial) image per surviving sector.
-    let png = results[2].as_ref().unwrap();
-    assert!(!png.frames.is_empty());
-    // Recovery metrics surfaced through the PR 1 registry.
-    assert!(metrics.gaps_detected.get() > 0);
-    assert!(metrics.partial_frames.get() > 0);
-    assert!(metrics.duplicates_dropped.get() > 0);
-    let rendered = metrics.render_prometheus();
-    assert!(rendered.contains("geostreams_gaps_detected_total"));
-    // The protocol-violation counter is exposed and stayed at zero.
-    assert!(rendered.contains("geostreams_protocol_violation_total"));
-    assert_eq!(metrics.protocol_violations.get(), 0);
-    assert!(rendered.contains("geostreams_partial_frames_total"));
-
-    // No thread leaks: everything the runtime spawned was joined.
-    if let (Some(before), Some(after)) = (threads_before, thread_count()) {
-        assert!(after <= before, "thread leak: {before} -> {after}");
-    }
-}
 
 #[test]
 fn same_seed_is_byte_identical() {
@@ -205,4 +114,42 @@ fn hung_query_is_cancelled_without_stalling_siblings() {
     assert!(wedged.cancelled);
     assert_eq!(stats.watchdog_cancellations, 1);
     assert_eq!(metrics.watchdog_cancellations.get(), 1);
+}
+
+#[test]
+fn band_shed_is_counted_once_and_never_per_tenant() {
+    let scanner = goes_like(64, 32, 11);
+    let metrics = Arc::new(ServerMetrics::new());
+    // Two unshared queries on one band. Query 1 stalls on every item
+    // for longer than the marker patience against a small channel, so
+    // the band fan-out must shed it (point runs first, then the whole
+    // subscriber once a framing marker cannot land) while query 0
+    // keeps the full stream.
+    let config = RuntimeConfig {
+        fanout: FanoutPolicy::Shed,
+        channel_cap: 8,
+        query_stall: vec![(1, Duration::from_millis(80))],
+        marker_patience: Duration::from_millis(40),
+        metrics: Some(Arc::clone(&metrics)),
+        ..RuntimeConfig::default()
+    };
+    let requests = vec![
+        req("goes-sim.b1-vis", OutputFormat::Stats),
+        req("scale(goes-sim.b1-vis, 2, 0)", OutputFormat::Stats),
+    ];
+    let started = Instant::now();
+    let (results, stats) = run_supervised(&scanner, 3, &requests, &config).unwrap();
+    assert!(started.elapsed() < Duration::from_secs(20), "a slow query must not stall the band");
+
+    // Band-level shed lands in the run stats and the fan-out counter,
+    // and never in the per-tenant account of the subscription trees.
+    assert!(stats.shed_elements > 0, "{stats:?}");
+    assert_eq!(stats.shed_elements, metrics.fanout_shed.get());
+    assert!(stats.shed_per_tenant.is_empty(), "{:?}", stats.shed_per_tenant);
+
+    // The healthy sibling delivered every point of the clean feed.
+    let lossless = RuntimeConfig { fanout: FanoutPolicy::Blocking, ..RuntimeConfig::default() };
+    let single = [req("goes-sim.b1-vis", OutputFormat::Stats)];
+    let (oracle, _) = run_supervised(&scanner, 3, &single, &lossless).unwrap();
+    assert_eq!(results[0].as_ref().unwrap().points, oracle[0].as_ref().unwrap().points);
 }

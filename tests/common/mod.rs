@@ -1,9 +1,12 @@
-//! Shared deterministic PRNG for the property-test suites.
+//! Shared test helpers: the chaos suites' fixtures ([`chaos`]) and a
+//! deterministic PRNG for the property-test suites.
 //!
 //! The build environment has no crates.io access, so the former
 //! proptest suites run as fixed-case loops over this SplitMix64
 //! generator: same properties, reproducible inputs, zero dependencies.
 #![allow(dead_code)]
+
+pub mod chaos;
 
 pub struct Rng(u64);
 
