@@ -300,8 +300,10 @@ pub fn run_supervised(
     // One morsel-execution pool per runtime (DESIGN.md §17): counting
     // queries and shared-plan evaluators dispatch their data-parallel
     // stage suffix here, and archive replays decode independent tiles
-    // on it, instead of spawning threads of their own. Worker counters
-    // are published as `geostreams_exec_worker_*` once the run settles.
+    // on it once it has two or more workers (one worker would only add
+    // a handoff), instead of spawning threads of their own. Worker
+    // counters are published as `geostreams_exec_worker_*` once the run
+    // settles.
     let exec_pool = Arc::new(WorkerPool::new(config.exec_workers));
 
     // Parse, optimize, and admit every request. A query whose plan

@@ -614,6 +614,8 @@ const HOT_FNS: &[&str] = &[
     "drain_chunked",
     "run_chunked",
     "ingest_chunk",
+    // Archive replay: called once per replayed frame.
+    "decode_frame",
     "pump",
     "publish",
     "multicast",

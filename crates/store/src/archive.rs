@@ -27,6 +27,7 @@
 //! a [`RecoveryReport`].
 
 use crate::codec::{encode_stripe, Codec};
+use crate::index::{FrameEntry, SectorIndex, TileRef};
 use crate::metrics::StoreMetrics;
 use crate::replay::TileCache;
 use crate::segment::{
@@ -98,36 +99,9 @@ impl ArchiveConfig {
     }
 }
 
-/// Index entry for one stored tile.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TileRef {
-    pub(crate) segment: u64,
-    pub(crate) offset: u64,
-    pub(crate) len: u32,
-    pub(crate) tile_x: u32,
-    pub(crate) cells: CellBox,
-    pub(crate) keyframe: bool,
-    pub(crate) codec: Codec,
-    /// CRC-32 of the payload, re-verified on every read.
-    pub(crate) crc: u32,
-}
-
-#[derive(Debug, Clone)]
-struct FrameEntry {
-    timestamp: i64,
-    cells: CellBox,
-    tiles: Vec<TileRef>,
-}
-
-struct SectorEntry {
-    info: SectorInfo,
-    frames: BTreeMap<u64, FrameEntry>,
-}
-
 struct SegmentMeta {
     path: PathBuf,
     bytes: u64,
-    frames: u64,
 }
 
 /// Per-stripe delta chain state.
@@ -178,7 +152,7 @@ struct Inner {
     /// True when the WAL holds records not yet sealed by a commit.
     wal_dirty: bool,
     segments: BTreeMap<u64, SegmentMeta>,
-    index: BTreeMap<(u16, u64), SectorEntry>,
+    index: BTreeMap<(u16, u64), SectorIndex>,
     band_meta: HashMap<u16, StreamSchema>,
     writers: HashMap<u16, BandWriter>,
     watermarks: HashMap<u16, (u64, u64)>,
@@ -447,7 +421,7 @@ impl Archive {
                 inner
                     .index
                     .entry((band, info.sector_id))
-                    .or_insert_with(|| SectorEntry { info: info.clone(), frames: BTreeMap::new() })
+                    .or_insert_with(|| SectorIndex::new(info.clone()))
                     .info = info.clone();
                 let rec = encode_sector_record(info)?;
                 self.append_covered(inner, rec)?;
@@ -499,8 +473,11 @@ impl Archive {
             Element::SectorEnd(_) => {
                 self.flush_open_frame(inner, band)?;
                 let bw = inner.writers.entry(band).or_default();
-                bw.sector = None;
+                let closed = bw.sector.take().map(|s| s.sector_id);
                 bw.skipping = None;
+                if let Some(entry) = closed.and_then(|id| inner.index.get_mut(&(band, id))) {
+                    entry.shrink();
+                }
             }
         }
         Ok(())
@@ -553,10 +530,9 @@ impl Archive {
         let mut w = SegmentWriter::create_bare(self.cfg.vfs.as_ref(), &self.cfg.dir, id)?;
         w.append_raw(MAGIC)?;
         inner.next_segment = id + 1;
-        inner.segments.insert(
-            id,
-            SegmentMeta { path: segment_path(&self.cfg.dir, id), bytes: w.bytes(), frames: 0 },
-        );
+        inner
+            .segments
+            .insert(id, SegmentMeta { path: segment_path(&self.cfg.dir, id), bytes: w.bytes() });
         inner.writer = Some(w);
         Ok(())
     }
@@ -742,8 +718,7 @@ impl Archive {
             staged.push((
                 buf.len() as u64 + payload_in_rec,
                 TileRef {
-                    segment: 0, // patched after the append
-                    offset: 0,
+                    offset: 0, // patched after the append
                     len: enc.payload.len() as u32,
                     tile_x: tx,
                     cells: stripe_box,
@@ -784,27 +759,23 @@ impl Archive {
         };
         self.append_to_segment(inner, &buf)?;
         let frame_bytes = buf.len() as u64;
-        let mut tile_refs = Vec::with_capacity(staged.len());
+        let mut tiles = Vec::with_capacity(staged.len());
         for (rel, mut t) in staged {
-            t.segment = seg_id;
             t.offset = base + rel;
-            tile_refs.push(t);
+            tiles.push(t);
         }
-
-        if let Some(seg) = inner.segments.get_mut(&seg_id) {
-            seg.frames += 1;
-        }
-        let n_tiles = tile_refs.len() as u64;
-        inner
+        let n_tiles = tiles.len() as u64;
+        let entry =
+            FrameEntry { frame_id: fi.frame_id, timestamp: ts, cells, segment: seg_id, tiles };
+        let added = inner
             .index
             .entry((band, sector.sector_id))
-            .or_insert_with(|| SectorEntry { info: sector.clone(), frames: BTreeMap::new() })
-            .frames
-            .insert(fi.frame_id, FrameEntry { timestamp: ts, cells, tiles: tile_refs });
+            .or_insert_with(|| SectorIndex::new(sector.clone()))
+            .insert(&entry);
         if let Some(bw) = inner.writers.get_mut(&band) {
             bw.seen_frames.insert(fi.frame_id);
         }
-        inner.frames_indexed += 1;
+        inner.frames_indexed += u64::from(added);
         inner.totals.frames += 1;
         inner.totals.tiles += n_tiles;
         inner.totals.bytes_written += frame_bytes;
@@ -901,14 +872,8 @@ impl Archive {
                 .map_err(|e| CoreError::Storage(format!("evict {}: {e}", meta.path.display())))?;
             let mut removed_frames = 0u64;
             inner.index.retain(|_, entry| {
-                entry.frames.retain(|_, fe| {
-                    let gone = fe.tiles.first().is_some_and(|t| t.segment == victim);
-                    if gone {
-                        removed_frames += 1;
-                    }
-                    !gone
-                });
-                !entry.frames.is_empty()
+                removed_frames += entry.evict_segment(victim) as u64;
+                entry.len() > 0
             });
             inner.frames_indexed = inner.frames_indexed.saturating_sub(removed_frames);
             inner.totals.evicted_segments += 1;
@@ -961,6 +926,13 @@ impl Archive {
         }
     }
 
+    /// Bytes held by the in-memory tile index: per sector, its map
+    /// entry plus its frame log's capacity (B-tree node overhead aside).
+    pub fn index_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<((u16, u64), SectorIndex)>();
+        lock(&self.inner).index.values().map(|s| entry + s.heap_bytes()).sum()
+    }
+
     /// Plans a replay: snapshots the index slice for `band` over the
     /// half-open timestamp window `[lo, hi)` and optional `region`
     /// (source CRS), selecting only tiles whose stripes intersect the
@@ -983,6 +955,11 @@ impl Archive {
         let mut files: HashMap<u64, Arc<dyn VfsFile>> = HashMap::new();
         for ((b, _), entry) in inner.index.range((band, 0)..=(band, u64::MAX)) {
             debug_assert_eq!(*b, band);
+            // A sector whose frames all lie outside the window is
+            // skipped without decoding its frames.
+            if !entry.may_overlap(lo, hi) {
+                continue;
+            }
             let emit_box = match region {
                 None => None,
                 Some(r) => match entry.info.lattice.footprint(r) {
@@ -990,9 +967,9 @@ impl Archive {
                     None => continue, // sector disjoint from the region
                 },
             };
-            let frames: Vec<(&u64, &FrameEntry)> = entry.frames.iter().collect();
+            let frames = entry.frames();
             let emit_flags: Vec<bool> =
-                frames.iter().map(|(_, fe)| fe.timestamp >= lo && fe.timestamp < hi).collect();
+                frames.iter().map(|fe| fe.timestamp >= lo && fe.timestamp < hi).collect();
             let Some(first_emit) = emit_flags.iter().position(|&e| e) else { continue };
             let Some(last_emit) = emit_flags.iter().rposition(|&e| e) else { continue };
             let selected = |t: &TileRef| match emit_box {
@@ -1004,13 +981,13 @@ impl Archive {
             let mut start = first_emit;
             let stripes: HashSet<u32> = frames[..=last_emit]
                 .iter()
-                .flat_map(|(_, fe)| fe.tiles.iter())
+                .flat_map(|fe| fe.tiles.iter())
                 .filter(|t| selected(t))
                 .map(|t| t.tile_x)
                 .collect();
             for &tx in &stripes {
                 let mut key_at = None;
-                for (i, (_, fe)) in frames[..=first_emit].iter().enumerate().rev() {
+                for (i, fe) in frames[..=first_emit].iter().enumerate().rev() {
                     if let Some(t) = fe.tiles.iter().find(|t| t.tile_x == tx) {
                         if t.keyframe {
                             key_at = Some(i);
@@ -1021,37 +998,30 @@ impl Archive {
                 start = start.min(key_at.unwrap_or(0));
             }
             let mut planned_frames = Vec::new();
-            for (i, (fid, fe)) in frames.iter().enumerate().skip(start) {
-                if i > last_emit {
-                    break;
-                }
-                let tiles: Vec<TileRef> = {
-                    let mut ts: Vec<TileRef> =
-                        fe.tiles.iter().filter(|t| selected(t)).copied().collect();
-                    ts.sort_by_key(|t| t.tile_x);
-                    ts
-                };
+            for (i, fe) in frames.into_iter().enumerate().take(last_emit + 1).skip(start) {
+                let mut tiles: Vec<TileRef> =
+                    fe.tiles.into_iter().filter(|t| selected(t)).collect();
+                tiles.sort_by_key(|t| t.tile_x);
                 if tiles.is_empty() {
                     continue;
                 }
-                for t in &tiles {
-                    if let std::collections::hash_map::Entry::Vacant(v) = files.entry(t.segment) {
-                        let Some(seg) = inner.segments.get(&t.segment) else {
-                            return Err(CoreError::Storage(format!(
-                                "segment {} referenced by index but unknown",
-                                t.segment
-                            )));
-                        };
-                        let f = self.cfg.vfs.open_read(&seg.path).map_err(|e| {
-                            CoreError::Storage(format!("open {}: {e}", seg.path.display()))
-                        })?;
-                        v.insert(Arc::from(f));
-                    }
+                if let std::collections::hash_map::Entry::Vacant(v) = files.entry(fe.segment) {
+                    let Some(seg) = inner.segments.get(&fe.segment) else {
+                        return Err(CoreError::Storage(format!(
+                            "segment {} referenced by index but unknown",
+                            fe.segment
+                        )));
+                    };
+                    let f = self.cfg.vfs.open_read(&seg.path).map_err(|e| {
+                        CoreError::Storage(format!("open {}: {e}", seg.path.display()))
+                    })?;
+                    v.insert(Arc::from(f));
                 }
                 planned_frames.push(PlannedFrame {
-                    frame_id: **fid,
+                    frame_id: fe.frame_id,
                     timestamp: fe.timestamp,
                     cells: fe.cells,
+                    segment: fe.segment,
                     tiles,
                     emit: emit_flags[i],
                 });
@@ -1254,28 +1224,34 @@ impl Archive {
             vfs.remove_file(&path).map_err(|e| rm_err(&path, e))?;
         }
 
-        // 6. Rebuild the index from the clean files.
+        // 6. Rebuild the index from the clean files. A frame's tile
+        // records are contiguous in one segment (one append each).
         for (id, path) in existing_segments(vfs, &dir)? {
             let scan = scan_segment(vfs, &path)?;
             debug_assert!(scan.clean(), "segment {id} still damaged after recovery");
             let mut seg_frames = 0u64;
+            let mut open: Option<((u16, u64), FrameEntry)> = None;
             for rec in scan.records {
                 match rec {
                     Record::Band(schema) => {
                         inner.band_meta.insert(schema.band, schema);
                     }
                     Record::Sector(info) => {
-                        inner.index.entry((info.band, info.sector_id)).or_insert_with(|| {
-                            SectorEntry { info: info.clone(), frames: BTreeMap::new() }
-                        });
+                        inner
+                            .index
+                            .entry((info.band, info.sector_id))
+                            .or_insert_with(|| SectorIndex::new(info.clone()));
                     }
                     Record::Tile { header: h, payload_offset } => {
-                        let entry = inner.index.entry((h.band, h.sector_id)).or_insert_with(|| {
-                            SectorEntry {
+                        let key = (h.band, h.sector_id);
+                        if open.as_ref().is_none_or(|(k, f)| *k != key || f.frame_id != h.frame_id)
+                        {
+                            seg_frames += index_recovered(&mut inner, open.take());
+                            inner.index.entry(key).or_insert_with(|| {
                                 // Orphan tile (its SectorMeta was in a
                                 // corrupted record): synthesize minimal
                                 // info so the tile stays reachable.
-                                info: SectorInfo {
+                                SectorIndex::new(SectorInfo {
                                     sector_id: h.sector_id,
                                     lattice: geostreams_geo::LatticeGeoref::north_up(
                                         geostreams_geo::Crs::LatLon,
@@ -1286,26 +1262,29 @@ impl Archive {
                                     band: h.band,
                                     organization: geostreams_core::Organization::RowByRow,
                                     timestamp: geostreams_core::model::Timestamp::new(h.timestamp),
-                                },
-                                frames: BTreeMap::new(),
-                            }
-                        });
-                        let tref = TileRef {
-                            segment: id,
-                            offset: payload_offset,
-                            len: h.payload_len,
-                            tile_x: h.tile_x,
-                            cells: h.cells,
-                            keyframe: h.keyframe,
-                            codec: h.codec,
-                            crc: h.payload_crc,
-                        };
-                        let frame = entry.frames.entry(h.frame_id).or_insert_with(|| {
-                            seg_frames += 1;
-                            FrameEntry { timestamp: h.timestamp, cells: h.cells, tiles: Vec::new() }
-                        });
-                        frame.cells = union_cells(frame.cells, h.cells);
-                        frame.tiles.push(tref);
+                                })
+                            });
+                            let frame = FrameEntry {
+                                frame_id: h.frame_id,
+                                timestamp: h.timestamp,
+                                cells: h.cells,
+                                segment: id,
+                                tiles: Vec::new(),
+                            };
+                            open = Some((key, frame));
+                        }
+                        if let Some((_, frame)) = open.as_mut() {
+                            frame.cells = union_cells(frame.cells, h.cells);
+                            frame.tiles.push(TileRef {
+                                offset: payload_offset,
+                                len: h.payload_len,
+                                tile_x: h.tile_x,
+                                cells: h.cells,
+                                keyframe: h.keyframe,
+                                codec: h.codec,
+                                crc: h.payload_crc,
+                            });
+                        }
                         inner.totals.tiles += 1;
                         inner.totals.raw_bytes += u64::from(h.n_points) * 4;
                         let wm = inner.watermarks.entry(h.band).or_insert((0, 0));
@@ -1313,13 +1292,15 @@ impl Archive {
                     }
                 }
             }
+            seg_frames += index_recovered(&mut inner, open);
             inner.totals.bytes_written += scan.valid_len;
             inner.frames_indexed += seg_frames;
             inner.totals.frames += seg_frames;
-            inner
-                .segments
-                .insert(id, SegmentMeta { path, bytes: scan.valid_len, frames: seg_frames });
+            inner.segments.insert(id, SegmentMeta { path, bytes: scan.valid_len });
             inner.next_segment = inner.next_segment.max(id + 1);
+        }
+        for entry in inner.index.values_mut() {
+            entry.shrink();
         }
 
         // Re-anchor watermarks: the committed WAL watermark can only
@@ -1347,8 +1328,11 @@ impl ReplayProvider for Archive {
         let band = inner.band_meta.values().find(|s| s.name == source)?.band;
         let (lo, hi) = (lo.unwrap_or(i64::MIN), hi.unwrap_or(i64::MAX));
         let mut est = ReplayEstimate::default();
-        for (_, entry) in inner.index.range((band, 0)..=(band, u64::MAX)) {
-            for fe in entry.frames.values() {
+        for entry in inner.index.range((band, 0)..=(band, u64::MAX)).map(|(_, e)| e) {
+            if !entry.may_overlap(lo, hi) {
+                continue;
+            }
+            for fe in entry.frames() {
                 if fe.timestamp >= lo && fe.timestamp < hi {
                     est.frames += 1;
                     est.tiles += fe.tiles.len() as u64;
@@ -1378,8 +1362,17 @@ pub(crate) struct PlannedFrame {
     pub(crate) frame_id: u64,
     pub(crate) timestamp: i64,
     pub(crate) cells: CellBox,
+    /// Segment holding every tile of the frame.
+    pub(crate) segment: u64,
     pub(crate) tiles: Vec<TileRef>,
     pub(crate) emit: bool,
+}
+
+/// Indexes a frame rebuilt from its tile records; returns 1 when its id
+/// was new to its sector.
+fn index_recovered(inner: &mut Inner, frame: Option<((u16, u64), FrameEntry)>) -> u64 {
+    let Some((key, frame)) = frame else { return 0 };
+    inner.index.get_mut(&key).map_or(0, |entry| u64::from(entry.insert(&frame)))
 }
 
 fn union_cells(a: CellBox, b: CellBox) -> CellBox {

@@ -31,6 +31,7 @@
 
 pub mod archive;
 pub mod codec;
+mod index;
 pub mod metrics;
 pub mod replay;
 pub mod segment;
@@ -179,7 +180,7 @@ mod tests {
             got
         };
         let serial = drain(archive.replay(band, None, None, None).unwrap());
-        for workers in [0, 3] {
+        for workers in [0, 1, 3] {
             let pool = std::sync::Arc::new(geostreams_core::exec::WorkerPool::new(workers));
             let archive2 = Archive::open(cfg.clone()).unwrap();
             let pooled =
@@ -192,6 +193,26 @@ mod tests {
                 assert_eq!(sv.to_bits(), pv.to_bits());
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn index_holds_a_two_tile_frame_in_80_bytes() {
+        // A 96-column row-by-row band at the default 64-column tiles:
+        // every frame is one row cut into two tiles.
+        let dir = tmp_dir("index-size");
+        let archive = Archive::create(ArchiveConfig::new(&dir)).unwrap();
+        ingest_band(&archive, &scanner(), 0, 10);
+        let stats = archive.stats();
+        assert_eq!(stats.frames, 480);
+        assert_eq!(stats.tiles, 2 * stats.frames);
+        let per_frame = archive.index_bytes() as f64 / stats.frames as f64;
+        assert!(per_frame <= 80.0, "index holds {per_frame:.1} B per frame");
+        // Recovery rebuilds the same compact index.
+        archive.flush().unwrap();
+        let reopened = Archive::open(ArchiveConfig::new(&dir)).unwrap();
+        assert_eq!(reopened.stats().frames, stats.frames);
+        assert_eq!(reopened.index_bytes(), archive.index_bytes());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,7 +4,7 @@
 //! live feed exactly once at the recorded watermark.
 
 use crate::archive::{Archive, PlannedFrame, PlannedSector, ReplayPlan};
-use crate::codec::decode_stripe;
+use crate::codec::{decode_stripe, DecodedStripe};
 use crate::vfs::{crc32, VfsFile};
 use geostreams_core::exec::{OrderedCollector, WorkerPool};
 use geostreams_core::model::{
@@ -17,50 +17,159 @@ use geostreams_geo::{Cell, CellBox, Rect};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A decoded tile kept in the shared cache: presence flags plus lanes.
-pub(crate) struct TileData {
-    pub(crate) present: Vec<bool>,
-    pub(crate) lanes: Vec<u32>,
+/// A decoded tile kept in the shared cache, in one allocation: its `n`
+/// lanes, then a presence bitmask of `ceil(n / 32)` words.
+#[derive(Clone)]
+pub(crate) struct TileData(Arc<[u32]>);
+
+impl TileData {
+    fn new(d: &DecodedStripe) -> TileData {
+        let mask = d
+            .present
+            .chunks(32)
+            .map(|bits| bits.iter().enumerate().fold(0u32, |w, (i, &p)| w | u32::from(p) << i));
+        TileData(d.lanes.iter().copied().chain(mask).collect())
+    }
+
+    /// `(lanes, presence bitmask)`. The length is `n + ceil(n / 32)`,
+    /// which puts `n` at `len - ceil(len / 33)`.
+    fn split(&self) -> (&[u32], &[u32]) {
+        self.0.split_at(self.0.len() - self.0.len().div_ceil(33))
+    }
 }
 
-/// Shared decoded-tile cache with tick-based LRU eviction, keyed by
-/// `(band, sector, frame, tile_x)`. Overlapping replays (many
-/// late-joining subscribers over one downlink) hit instead of
-/// re-reading and re-decoding the chain.
+/// Shared decoded-tile cache, keyed by `(band, sector, frame, tile_x)`.
+/// Overlapping replays (many late-joining subscribers over one
+/// downlink) hit instead of re-reading and re-decoding the chain.
+///
+/// Eviction is a segmented LRU, O(1) per `get` and `put`. A tile enters
+/// the *probation* segment; a second reference (a hit, or a re-insert
+/// by a concurrent replay) moves it to the *protected* segment, which
+/// holds at most 4/5 of the capacity and demotes its LRU tile back to
+/// probation when full. The victim is probation's LRU tile. A one-pass
+/// scan of a window larger than the cache therefore cycles through
+/// probation only, and a window read at least twice survives it.
+/// Both segments are doubly linked lists threaded through one slab of
+/// at most `cap` slots.
 pub(crate) struct TileCache {
     cap: usize,
-    tick: u64,
-    map: HashMap<TileKey, (u64, Arc<TileData>)>,
+    protected_cap: usize,
+    map: HashMap<TileKey, usize>,
+    slots: Vec<Slot>,
+    /// `[probation, protected]`.
+    lists: [List; 2],
 }
 
 /// `(band, sector, frame, tile_x)`.
 type TileKey = (u16, u64, u64, u32);
 
+const PROBATION: usize = 0;
+const PROTECTED: usize = 1;
+const NIL: usize = usize::MAX;
+
+struct Slot {
+    key: TileKey,
+    data: TileData,
+    list: usize,
+    /// Toward the MRU end.
+    prev: usize,
+    /// Toward the LRU end.
+    next: usize,
+}
+
+#[derive(Clone, Copy)]
+struct List {
+    mru: usize,
+    lru: usize,
+    len: usize,
+}
+
 impl TileCache {
     pub(crate) fn new(cap: usize) -> TileCache {
-        TileCache { cap, tick: 0, map: HashMap::new() }
+        let empty = List { mru: NIL, lru: NIL, len: 0 };
+        TileCache {
+            cap,
+            protected_cap: cap * 4 / 5,
+            map: HashMap::new(),
+            slots: Vec::new(),
+            lists: [empty; 2],
+        }
     }
 
-    fn get(&mut self, key: TileKey) -> Option<Arc<TileData>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (t, data) = self.map.get_mut(&key)?;
-        *t = tick;
-        Some(Arc::clone(data))
+    fn get(&mut self, key: TileKey) -> Option<TileData> {
+        let i = *self.map.get(&key)?;
+        self.promote(i);
+        Some(self.slots[i].data.clone())
     }
 
-    fn put(&mut self, key: TileKey, data: Arc<TileData>) {
+    fn put(&mut self, key: TileKey, data: TileData) {
         if self.cap == 0 {
             return;
         }
-        self.tick += 1;
-        self.map.insert(key, (self.tick, data));
-        while self.map.len() > self.cap {
-            let Some((&victim, _)) = self.map.iter().min_by_key(|(_, (t, _))| *t) else {
-                return;
-            };
-            self.map.remove(&victim);
+        if let Some(&i) = self.map.get(&key) {
+            self.slots[i].data = data;
+            self.promote(i);
+            return;
         }
+        let i = if self.slots.len() < self.cap {
+            self.slots.push(Slot { key, data, list: PROBATION, prev: NIL, next: NIL });
+            self.slots.len() - 1
+        } else {
+            let from = if self.lists[PROBATION].len > 0 { PROBATION } else { PROTECTED };
+            let i = self.lists[from].lru;
+            self.unlink(i);
+            self.map.remove(&self.slots[i].key);
+            self.slots[i].key = key;
+            self.slots[i].data = data;
+            i
+        };
+        self.map.insert(key, i);
+        self.push_mru(PROBATION, i);
+    }
+
+    /// Number of cached tiles (never above the capacity).
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Moves slot `i` to the protected MRU end, demoting protected's LRU
+    /// tile to probation's MRU end while protected is over its share.
+    fn promote(&mut self, i: usize) {
+        self.unlink(i);
+        self.push_mru(PROTECTED, i);
+        if self.lists[PROTECTED].len > self.protected_cap {
+            let lru = self.lists[PROTECTED].lru;
+            self.unlink(lru);
+            self.push_mru(PROBATION, lru);
+        }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Slot { list, prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.lists[list].mru = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.lists[list].lru = prev,
+            n => self.slots[n].prev = prev,
+        }
+        self.lists[list].len -= 1;
+    }
+
+    fn push_mru(&mut self, list: usize, i: usize) {
+        let head = self.lists[list].mru;
+        let slot = &mut self.slots[i];
+        slot.list = list;
+        slot.prev = NIL;
+        slot.next = head;
+        match head {
+            NIL => self.lists[list].lru = i,
+            h => self.slots[h].prev = i,
+        }
+        self.lists[list].mru = i;
+        self.lists[list].len += 1;
     }
 }
 
@@ -95,7 +204,7 @@ struct SectorCursor {
     sector_id: u64,
     emit_box: Option<CellBox>,
     frames: VecDeque<PlannedFrame>,
-    chains: HashMap<u32, Arc<TileData>>,
+    chains: HashMap<u32, TileData>,
 }
 
 impl Archive {
@@ -167,12 +276,14 @@ impl ArchiveReplay {
         self.sectors.len() + usize::from(self.current.is_some())
     }
 
-    /// Decodes independent tiles of each frame on `pool`. A frame's
-    /// tiles share no delta-chain state (chains link equal `tile_x`
-    /// across frames), so cache-missed stripes decode concurrently and
-    /// merge back in tile order. Payload reads and CRC checks stay on
-    /// the replay thread; output and error selection are byte-identical
-    /// to the serial path.
+    /// Decodes independent tiles of each frame on `pool` when it has at
+    /// least two workers. A frame's tiles share no delta-chain state
+    /// (chains link equal `tile_x` across frames), so cache-missed
+    /// stripes decode concurrently and merge back in tile order. Payload
+    /// reads and CRC checks stay on the replay thread; output and error
+    /// selection are byte-identical to the serial path. A pool of fewer
+    /// workers decodes inline: handing every frame to one worker and
+    /// waiting for it only adds a round trip.
     pub fn with_decode_pool(mut self, pool: Arc<WorkerPool>) -> ArchiveReplay {
         self.pool = Some(pool);
         self
@@ -183,8 +294,8 @@ impl ArchiveReplay {
     ///
     /// Three passes: (1) serial cache probes, payload reads and CRC
     /// checks; (2) chain decodes of the misses — fanned out to the
-    /// decode pool when one is attached and more than one tile missed,
-    /// inline otherwise (a frame's stripes are chain-independent:
+    /// decode pool when one with at least two workers is attached and
+    /// more than one tile missed, inline otherwise (a frame's stripes are chain-independent:
     /// chains link equal `tile_x` across frames, and `tile_x` is
     /// unique within a frame); (3) serial chain advance and stripe
     /// assembly in tile order. Errors surface for the first failing
@@ -192,15 +303,15 @@ impl ArchiveReplay {
     fn decode_frame(
         &mut self,
         cursor_sector: u64,
-        chains: &mut HashMap<u32, Arc<TileData>>,
+        chains: &mut HashMap<u32, TileData>,
         frame: &PlannedFrame,
-    ) -> Result<Vec<(CellBox, Arc<TileData>)>> {
+    ) -> Result<Vec<(CellBox, TileData)>> {
         struct PendingDecode {
             idx: usize,
             payload: Vec<u8>,
-            prev: Option<Arc<TileData>>,
+            prev: Option<TileData>,
         }
-        let mut decoded: Vec<Option<Arc<TileData>>> = vec![None; frame.tiles.len()];
+        let mut decoded: Vec<Option<TileData>> = vec![None; frame.tiles.len()];
         let mut pending: Vec<PendingDecode> = Vec::new();
         for (idx, t) in frame.tiles.iter().enumerate() {
             let key = (self.band, cursor_sector, frame.frame_id, t.tile_x);
@@ -214,17 +325,17 @@ impl ArchiveReplay {
             if let Some(m) = &self.metrics {
                 m.cache_misses.inc();
             }
-            let Some(file) = self.files.get(&t.segment) else {
+            let Some(file) = self.files.get(&frame.segment) else {
                 return Err(geostreams_core::CoreError::Storage(format!(
                     "replay references unopened segment {}",
-                    t.segment
+                    frame.segment
                 )));
             };
             let mut payload = vec![0u8; t.len as usize];
             file.read_exact_at(&mut payload, t.offset).map_err(|e| {
                 geostreams_core::CoreError::Storage(format!(
                     "read segment {} @{}: {e}",
-                    t.segment, t.offset
+                    frame.segment, t.offset
                 ))
             })?;
             // Verify the payload against the checksum recorded at
@@ -237,13 +348,19 @@ impl ArchiveReplay {
                 return Err(geostreams_core::CoreError::Corruption(format!(
                     "tile payload CRC mismatch in segment {} @{} ({} bytes, band {} \
                      sector {} frame {} tile {})",
-                    t.segment, t.offset, t.len, self.band, cursor_sector, frame.frame_id, t.tile_x
+                    frame.segment,
+                    t.offset,
+                    t.len,
+                    self.band,
+                    cursor_sector,
+                    frame.frame_id,
+                    t.tile_x
                 )));
             }
             pending.push(PendingDecode { idx, payload, prev: chains.get(&t.tile_x).cloned() });
         }
         match &self.pool {
-            Some(pool) if pending.len() > 1 => {
+            Some(pool) if pool.workers() >= 2 && pending.len() > 1 => {
                 let order: Vec<usize> = pending.iter().map(|p| p.idx).collect();
                 let collector: Arc<OrderedCollector<Result<TileData>>> =
                     Arc::new(OrderedCollector::new());
@@ -256,20 +373,17 @@ impl ArchiveReplay {
                             codec,
                             &p.payload,
                             n,
-                            p.prev.as_deref().map(|d| d.lanes.as_slice()),
+                            p.prev.as_ref().map(|d| d.split().0),
                             keyframe,
                         );
-                        collector.push(
-                            seq as u64,
-                            res.map(|d| TileData { present: d.present, lanes: d.lanes }),
-                        );
+                        collector.push(seq as u64, res.map(|d| TileData::new(&d)));
                     });
                 }
                 for idx in order {
-                    let data = Arc::new(collector.wait_next()?);
+                    let data = collector.wait_next()?;
                     let t = &frame.tiles[idx];
                     let key = (self.band, cursor_sector, frame.frame_id, t.tile_x);
-                    lock(&self.cache).put(key, Arc::clone(&data));
+                    lock(&self.cache).put(key, data.clone());
                     decoded[idx] = Some(data);
                 }
             }
@@ -280,12 +394,12 @@ impl ArchiveReplay {
                         t.codec,
                         &p.payload,
                         t.cells.len() as usize,
-                        p.prev.as_deref().map(|d| d.lanes.as_slice()),
+                        p.prev.as_ref().map(|d| d.split().0),
                         t.keyframe,
                     )?;
-                    let data = Arc::new(TileData { present: dec.present, lanes: dec.lanes });
+                    let data = TileData::new(&dec);
                     let key = (self.band, cursor_sector, frame.frame_id, t.tile_x);
-                    lock(&self.cache).put(key, Arc::clone(&data));
+                    lock(&self.cache).put(key, data.clone());
                     decoded[p.idx] = Some(data);
                 }
             }
@@ -297,7 +411,7 @@ impl ArchiveReplay {
                     "tile decode produced no stripe (driver bug)".into(),
                 ));
             };
-            chains.insert(t.tile_x, Arc::clone(&data));
+            chains.insert(t.tile_x, data.clone());
             stripes.push((t.cells, data));
         }
         Ok(stripes)
@@ -351,23 +465,21 @@ impl ArchiveReplay {
                 // replay": lag measures replay → delivery.
                 synth_ns: geostreams_core::obs::now_ns(),
             }));
+            let codec = frame.tiles.first().map_or(crate::codec::Codec::Quant16, |t| t.codec);
             // Lattice (row-major) order across the frame's stripes.
             for row in emit_cells.row_min..=emit_cells.row_max {
                 for (cells, data) in &stripes {
                     if row < cells.row_min || row > cells.row_max {
                         continue;
                     }
+                    let (lanes, present) = data.split();
                     let lo = cells.col_min.max(emit_cells.col_min);
                     let hi = cells.col_max.min(emit_cells.col_max);
                     for col in lo..=hi {
                         let idx = (row - cells.row_min) as usize * cells.width() as usize
                             + (col - cells.col_min) as usize;
-                        if data.present[idx] {
-                            let value = frame
-                                .tiles
-                                .first()
-                                .map_or(crate::codec::Codec::Quant16, |t| t.codec)
-                                .value(data.lanes[idx], self.value_range);
+                        if present[idx / 32] >> (idx % 32) & 1 != 0 {
+                            let value = codec.value(lanes[idx], self.value_range);
                             self.out.push_back(Element::Point(PointRecord {
                                 cell: Cell::new(col, row),
                                 value,
@@ -381,6 +493,21 @@ impl ArchiveReplay {
         }
         Ok(())
     }
+
+    /// Refills an empty output queue. A torn replay must not masquerade
+    /// as a clean end: the error is surfaced once, then the stream ends.
+    fn fill(&mut self) {
+        if !self.out.is_empty() || self.done {
+            return;
+        }
+        if let Err(e) = self.refill() {
+            self.done = true;
+            self.failed = true;
+            self.out.clear();
+            self.stats.stalls += 1;
+            eprintln!("archive replay error: {e}");
+        }
+    }
 }
 
 impl GeoStream for ArchiveReplay {
@@ -391,18 +518,7 @@ impl GeoStream for ArchiveReplay {
     }
 
     fn next_element(&mut self) -> Option<Element<f32>> {
-        if self.out.is_empty() && !self.done {
-            if let Err(e) = self.refill() {
-                // A torn replay must not masquerade as a clean end: the
-                // error is surfaced once, then the stream ends.
-                self.done = true;
-                self.failed = true;
-                self.out.clear();
-                self.stats.stalls += 1;
-                eprintln!("archive replay error: {e}");
-                return None;
-            }
-        }
+        self.fill();
         let el = self.out.pop_front()?;
         if el.is_point() {
             self.stats.points_out += 1;
@@ -411,16 +527,7 @@ impl GeoStream for ArchiveReplay {
     }
 
     fn next_chunk(&mut self, budget: usize) -> Option<ChunkOrMarker<f32>> {
-        if self.out.is_empty() && !self.done {
-            if let Err(e) = self.refill() {
-                self.done = true;
-                self.failed = true;
-                self.out.clear();
-                self.stats.stalls += 1;
-                eprintln!("archive replay error: {e}");
-                return None;
-            }
-        }
+        self.fill();
         // Tiles decode frame-at-a-time into the queue; packing it into
         // runs batches the per-point stats into one add.
         let item = pack_queue(&mut self.out, budget)?;
@@ -635,5 +742,102 @@ impl GeoStream for SpliceStream {
 
     fn op_stats(&self) -> OpStats {
         self.stats.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tile() -> TileData {
+        TileData::new(&DecodedStripe { present: vec![true], lanes: vec![0] })
+    }
+
+    fn key(i: u64) -> TileKey {
+        (1, 0, i, 0)
+    }
+
+    /// `get`, then `put` on a miss, as a replay does; true on a hit.
+    fn touch(c: &mut TileCache, i: u64) -> bool {
+        let hit = c.get(key(i)).is_some();
+        if !hit {
+            c.put(key(i), tile());
+        }
+        assert!(c.len() <= c.cap);
+        let (prob, prot) = (c.lists[PROBATION].len, c.lists[PROTECTED].len);
+        assert_eq!(prob + prot, c.len());
+        assert!(prot <= c.protected_cap);
+        hit
+    }
+
+    #[test]
+    fn lru_order_within_each_segment() {
+        let mut c = TileCache::new(5); // protected holds 4
+        let (a, b, d, e, f, g, h, i, j) = (0, 1, 3, 4, 5, 6, 7, 8, 9);
+        for k in 0..5 {
+            c.put(key(k), tile());
+        }
+        c.put(key(f), tile()); // probation LRU `a` goes
+        assert!(c.get(key(a)).is_none());
+        assert!(c.get(key(b)).is_some()); // b → protected
+        c.put(key(g), tile()); // probation LRU is now `2`, not b
+        assert!(!c.map.contains_key(&key(2)));
+        assert!(c.get(key(d)).is_some()); // protected: d b
+        assert!(c.get(key(b)).is_some()); // protected: b d
+        c.put(key(h), tile()); // probation: h g f e → e goes
+        assert!(!c.map.contains_key(&key(e)));
+        c.put(key(i), tile()); // f goes
+        assert!(!c.map.contains_key(&key(f)));
+        for k in [g, h, i] {
+            assert!(c.get(key(k)).is_some());
+        }
+        // Protected overflowed: its LRU tile d was demoted to probation
+        // (then probation's only tile), b stayed.
+        c.put(key(j), tile());
+        assert!(!c.map.contains_key(&key(d)));
+        for k in [b, g, h, i, j] {
+            assert!(c.map.contains_key(&key(k)), "tile {k} evicted");
+        }
+    }
+
+    #[test]
+    fn a_reread_window_survives_cyclic_scans_larger_than_the_cache() {
+        let mut c = TileCache::new(4096);
+        let hot = 0..512u64;
+        let cold = 10_000..14_320u64; // 4320 tiles > capacity
+        for k in hot.clone().chain(hot.clone()) {
+            touch(&mut c, k);
+        }
+        for _ in 0..4 {
+            for k in cold.clone() {
+                touch(&mut c, k);
+            }
+            let hits = hot.clone().filter(|&k| touch(&mut c, k)).count();
+            assert_eq!(hits, 512, "hot window evicted by the scan");
+        }
+    }
+
+    #[test]
+    fn capacity_zero_stores_nothing() {
+        let mut c = TileCache::new(0);
+        for k in 0..3 {
+            assert!(!touch(&mut c, k));
+            assert!(!touch(&mut c, k));
+        }
+        assert_eq!(c.len(), 0);
+    }
+
+    #[test]
+    fn length_never_exceeds_capacity() {
+        for cap in [1, 2, 7, 64] {
+            let mut c = TileCache::new(cap);
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..5000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                touch(&mut c, x % (3 * cap as u64));
+            }
+        }
     }
 }
